@@ -15,7 +15,6 @@ use rqp::metrics::{smoothness, ReportTable};
 use rqp::opt::PlannerConfig;
 use rqp::stats::{LyingEstimator, TableStatsRegistry};
 use rqp::storage::AdaptiveMergeIndex;
-use rqp::telemetry::scoreboard::samples;
 use rqp::workload::{tpch::TpchParams, TpchDb};
 use rqp::{DataType, Row, Schema, Table, Value};
 use std::sync::Arc;
@@ -235,8 +234,8 @@ fn a04_body(h: &mut Harness) -> String {
     // the CV of per-count shortfalls from ideal. Low = scaling degrades
     // predictably; high = a cliff at some worker count.
     h.gauge("parallel.speedup_smoothness", smoothness(&zero_skew_shortfalls));
-    h.gauge(samples::PARALLEL_SPEEDUP, headline_speedup);
-    h.gauge(samples::PARALLEL_SKEW, worst_imbalance);
+    h.gate("parallel_speedup", headline_speedup);
+    h.gate("parallel_skew", worst_imbalance);
     format!(
         "A04 — parallel scaling ({n} rows, hash repartition on `key`, filter per worker)\n\n\
          {t_out}\n\
@@ -254,7 +253,7 @@ pub fn a09_batch_speedup(fast: bool) -> String {
     harness::run("a09_batch_speedup", fast, a09_body)
 }
 
-/// Ceiling on the reported [`samples::BATCH_SPEEDUP`] gauge. The scoreboard
+/// Ceiling on the reported `batch_speedup` gauge. The scoreboard
 /// folds that gauge as a *minimum* and gates CI at `baseline - slack`, so
 /// committing a capped baseline pins the floor at the 2x acceptance bar
 /// (2.5 - 0.5 slack) — a fast machine regenerating artifacts cannot ratchet
@@ -461,7 +460,7 @@ fn a09_body(h: &mut Harness) -> String {
     h.perf_gaps(&charged.iter().map(|c| c - floor).collect::<Vec<_>>());
     h.env_costs(&charged.iter().map(|c| (*c, *c)).collect::<Vec<_>>());
     let raw = speedups.iter().copied().fold(f64::INFINITY, f64::min);
-    h.gauge(samples::BATCH_SPEEDUP, raw.min(A09_SPEEDUP_CAP));
+    h.gate("batch_speedup", raw.min(A09_SPEEDUP_CAP));
 
     format!(
         "A09 — batch-vs-scalar speedup ({n} rows, best of {reps} runs; worst \

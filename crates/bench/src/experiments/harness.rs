@@ -13,7 +13,7 @@
 
 use rand::rngs::StdRng;
 use rqp::exec::ExecContext;
-use rqp::telemetry::scoreboard::samples;
+use rqp::telemetry::scoreboard::{samples, Source, GATES};
 use std::path::{Path, PathBuf};
 
 /// Where run reports and `.txt` artifacts land: `$RQP_EXP_OUTPUT` when set
@@ -69,6 +69,17 @@ impl Harness {
     /// Publish a named gauge on the run's metrics registry.
     pub fn gauge(&self, name: &str, value: f64) {
         self.ctx.metrics.gauge(name).set(value);
+    }
+
+    /// Publish the gauge that scoreboard metric `key` reads, as named in
+    /// its [`GATES`] row. Panics when no row reads a gauge under `key`, so
+    /// a typo cannot publish a number nothing gates.
+    pub fn gate(&self, key: &str, value: f64) {
+        let gauge = GATES.iter().find_map(|g| match g.source {
+            Source::Gauge(name) if g.key == key => Some(name),
+            _ => None,
+        });
+        self.gauge(gauge.unwrap_or_else(|| panic!("no scoreboard gauge for {key}")), value);
     }
 
     /// Publish a parameterized sweep's per-query performance gaps `P(qᵢ)`;
@@ -230,10 +241,10 @@ mod tests {
         let board =
             rqp::telemetry::Scoreboard::from_dir(&dir).expect("fold");
         let e = &board.entries["e00_sample_probe"];
-        assert!(e.smoothness > 0.0);
-        assert!(e.intrinsic > 0.0);
-        assert!(e.extrinsic > 0.0);
-        assert!((e.m3 - 0.25).abs() < 1e-9);
+        for key in ["smoothness", "intrinsic", "extrinsic"] {
+            assert!(e.metric(key) > 0.0, "{key}");
+        }
+        assert!((e.metric("m3") - 0.25).abs() < 1e-9);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

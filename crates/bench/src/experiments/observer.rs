@@ -3,7 +3,6 @@
 use super::harness::{self, Harness};
 use rqp::metrics::ReportTable;
 use rqp::server::{QueryService, ServiceConfig, ServiceReport};
-use rqp::telemetry::scoreboard::samples;
 use rqp::telemetry::MetricValue;
 use rqp::workload::{tpch::TpchParams, TpchDb};
 use rqp_net::loadgen::menu;
@@ -255,8 +254,8 @@ fn a08_body(h: &mut Harness) -> String {
         format!("{gap}"),
     ]);
 
-    h.gauge(samples::OBSERVER_OVERHEAD_P99, overhead);
-    h.gauge(samples::OBSERVER_EVENT_LOSS, loss as f64);
+    h.gate("observer_overhead_p99", overhead);
+    h.gate("observer_event_loss", loss as f64);
 
     format!(
         "A08 — live observer ({li} lineitem rows; {clients} client processes × \

@@ -367,7 +367,6 @@ fn a10_body(h: &mut Harness) -> String {
     use rqp::exec::sort::SortOrder;
     use rqp::exec::{collect, SortOp, TableScanOp};
     use rqp::storage::BufferPool;
-    use rqp::telemetry::scoreboard::samples;
     use rqp::{DataType, Schema, Table, Value};
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::Arc;
@@ -533,8 +532,8 @@ fn a10_body(h: &mut Harness) -> String {
         .collect();
     h.env_costs(&pairs);
     h.m3(headline_cost, floor);
-    h.gauge(samples::PAGED_CLIFF, cliff);
-    h.gauge(samples::PAGED_COMPLETION, completion);
+    h.gate("paged_cliff", cliff);
+    h.gate("paged_completion", completion);
     format!(
         "A10 — paged degradation ({n} rows = {data_pages} pages, {workers} \
          workers, {queries} queries/cell, paged scan + hash repartition + \
@@ -561,7 +560,6 @@ fn a05_body(h: &mut Harness) -> String {
     use rqp::exec::exchange::{pipeline, ExchangeOp, Partitioning};
     use rqp::exec::sort::SortOrder;
     use rqp::exec::{collect, SortOp, TableScanOp};
-    use rqp::telemetry::scoreboard::samples;
     use rqp::{DataType, Schema, Table, Value};
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::Arc;
@@ -729,8 +727,8 @@ fn a05_body(h: &mut Harness) -> String {
         .collect();
     h.env_costs(&pairs);
     h.m3(headline_cost, floor);
-    h.gauge(samples::DEGRADATION_CLIFF, cliff);
-    h.gauge(samples::RECOVERY_RATE, recovery);
+    h.gate("degradation_cliff", cliff);
+    h.gate("recovery_rate", recovery);
     format!(
         "A05 — resource robustness ({n} rows, {workers} workers, {queries} \
          queries/cell, hash repartition + per-worker sort)\n\n{t_out}\n\

@@ -1,10 +1,10 @@
 //! A06: the concurrent query service under a mixed OLTP/analytic workload.
 
 use super::harness::{self, Harness};
+use rqp::common::percentile;
 use rqp::expr::col;
 use rqp::metrics::ReportTable;
 use rqp::server::{QueryOptions, QueryService, ServiceConfig};
-use rqp::telemetry::scoreboard::samples;
 use rqp::workload::{tpch::TpchParams, Job, TpchDb, WorkloadManager};
 use rqp::QuerySpec;
 use std::collections::HashMap;
@@ -182,8 +182,8 @@ fn a06_body(h: &mut Harness) -> String {
     }
     h.env_costs(&env_pairs);
     h.perf_gaps(&gaps);
-    h.gauge(samples::TAIL_AMPLIFICATION, worst_amp);
-    h.gauge(samples::ADMISSION_WAIT, worst_wait);
+    h.gate("tail_amplification", worst_amp);
+    h.gate("admission_wait", worst_wait);
 
     format!(
         "A06 — concurrent service ({li} lineitem rows, {submitted} concurrent \
@@ -199,13 +199,4 @@ fn a06_body(h: &mut Harness) -> String {
          what the admission gate pins the service to.\n",
         olap_units.len()
     )
-}
-
-/// Nearest-rank percentile over an ascending-sorted slice.
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
 }

@@ -2,10 +2,10 @@
 //! and chaos.
 
 use super::harness::{self, Harness};
+use rqp::common::percentile;
 use rqp::metrics::ReportTable;
 use rqp::server::{QueryService, ServiceConfig, SubscribeOptions};
 use rqp::stream::canonicalize;
-use rqp::telemetry::scoreboard::samples;
 use rqp::workload::{tpch::TpchParams, TpchDb};
 use rqp::{QuerySpec, Row, Value};
 
@@ -45,15 +45,6 @@ fn fresh_row(b: usize, r: usize) -> Row {
         Value::Int(k % 2_400),                            // shipdate
         Value::Int(k % 3),                                // returnflag
     ]
-}
-
-/// Nearest-rank percentile over an ascending-sorted slice.
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 fn a11_body(h: &mut Harness) -> String {
@@ -197,8 +188,8 @@ fn a11_body(h: &mut Harness) -> String {
     h.env_costs(&env_pairs);
     h.perf_gaps(&gaps);
     h.m3(worst_p99, best_p99);
-    h.gauge(samples::STREAM_DELTA_P99, worst_p99);
-    h.gauge(samples::STREAM_VIEW_DIVERGENCE, diverged_total as f64);
+    h.gate("stream_delta_p99", worst_p99);
+    h.gate("stream_view_divergence", diverged_total as f64);
     format!(
         "A11 — continuous queries ({li} lineitem rows, {} standing specs, \
          {batches} append batches/cell)\n\n{t_out}\n\

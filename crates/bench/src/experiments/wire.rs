@@ -1,10 +1,10 @@
 //! A07: the TCP wire service under multi-process client load.
 
 use super::harness::{self, Harness};
+use rqp::common::percentile;
 use rqp::expr::col;
 use rqp::metrics::ReportTable;
 use rqp::server::{QueryService, ServiceConfig};
-use rqp::telemetry::scoreboard::samples;
 use rqp::workload::{tpch::TpchParams, Job, TpchDb, WorkloadManager};
 use rqp::QuerySpec;
 use rqp_net::loadgen::{menu, menu_index};
@@ -250,10 +250,10 @@ fn a07_body(h: &mut Harness) -> String {
     }
     h.env_costs(&env_pairs);
     h.perf_gaps(&gaps);
-    h.gauge(samples::WIRE_TAIL_P99, worst_p99);
-    h.gauge(samples::WIRE_TAIL_P999, worst_p999);
-    h.gauge(samples::WIRE_CHURN_RECOVERY, churn_recovery);
-    h.gauge(samples::WIRE_BACKPRESSURE_PAGES, peak_pages.max(1) as f64);
+    h.gate("wire_tail_p99", worst_p99);
+    h.gate("wire_tail_p999", worst_p999);
+    h.gate("wire_churn_recovery", churn_recovery);
+    h.gate("wire_backpressure_pages", peak_pages.max(1) as f64);
 
     format!(
         "A07 — wire service ({li} lineitem rows; {clients} client processes × \
@@ -268,13 +268,4 @@ fn a07_body(h: &mut Harness) -> String {
          backpressure gauge at 1 page regardless of consumer speed.\n",
         stats.disconnected_queries
     )
-}
-
-/// Nearest-rank percentile over an ascending-sorted slice.
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
 }

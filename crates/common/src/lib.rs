@@ -21,6 +21,8 @@
 //! * [`clock`] — the deterministic [`clock::CostClock`] "virtual time" that every
 //!   operator charges I/O and CPU cost units to, making robustness experiments
 //!   exactly reproducible;
+//! * [`mod@percentile`] — the one nearest-rank [`fn@percentile`] every latency
+//!   and q-error summary uses;
 //! * [`rng`] — seeded random-number helpers (uniform, Zipf, correlated draws)
 //!   so all workloads are deterministic;
 //! * [`sync`] — the atomic primitives ([`sync::AtomicF64`]) behind the
@@ -43,6 +45,7 @@ pub mod clock;
 pub mod dict;
 pub mod error;
 pub mod expr;
+pub mod percentile;
 pub mod rng;
 pub mod schema;
 pub mod sync;
@@ -55,6 +58,7 @@ pub use clock::{CostBreakdown, CostClock, CostModelParams, SharedClock};
 pub use dict::StringDict;
 pub use error::{Result, RqpError};
 pub use expr::{CmpOp, Expr, SimplePred};
+pub use percentile::percentile;
 pub use schema::{Field, Row, Schema};
 pub use sync::AtomicF64;
 pub use value::{key_atom_f64, key_atom_i64, DataType, KeyAtom, Value};

@@ -111,14 +111,18 @@ pub struct WireStats {
     pub protocol_errors: u64,
 }
 
+/// A connection thread and a handle on its socket, through which shutdown
+/// unblocks the thread's read.
+type Conn = (std::thread::JoinHandle<()>, TcpStream);
+
 /// A running TCP wire server. Dropping it (or calling
-/// [`shutdown`](WireServer::shutdown)) stops the accept loop and joins
-/// every connection thread.
+/// [`shutdown`](WireServer::shutdown)) stops the accept loop, closes every
+/// connection and joins its thread.
 pub struct WireServer {
     shared: Arc<ServerShared>,
     local: SocketAddr,
     accept: Option<std::thread::JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
+    conns: Arc<Mutex<Vec<Conn>>>,
     stats: Arc<Mutex<WireStats>>,
 }
 
@@ -140,8 +144,7 @@ impl WireServer {
             clock: CostClock::default_clock(),
             next_conn: AtomicU64::new(0),
         });
-        let conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
-            Arc::new(Mutex::new(Vec::new()));
+        let conns: Arc<Mutex<Vec<Conn>>> = Arc::new(Mutex::new(Vec::new()));
         let stats = Arc::new(Mutex::new(WireStats::default()));
         let accept = {
             let (shared, conns, stats) = (Arc::clone(&shared), Arc::clone(&conns), Arc::clone(&stats));
@@ -152,10 +155,9 @@ impl WireServer {
                         if shared.shutdown.load(Ordering::SeqCst) {
                             break;
                         }
-                        let stream = match incoming {
-                            Ok(s) => s,
-                            Err(_) => continue,
-                        };
+                        let Ok(stream) = incoming else { continue };
+                        // Shutdown closes this clone to unblock the read.
+                        let Ok(socket) = stream.try_clone() else { continue };
                         let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed) + 1;
                         stats.lock().expect("stats lock").connections += 1;
                         shared.svc.metrics().counter("wire.connections").inc();
@@ -170,13 +172,13 @@ impl WireServer {
                         let mut guard = conns.lock().expect("conns lock");
                         let mut i = 0;
                         while i < guard.len() {
-                            if guard[i].is_finished() {
-                                let _ = guard.swap_remove(i).join();
+                            if guard[i].0.is_finished() {
+                                let _ = guard.swap_remove(i).0.join();
                             } else {
                                 i += 1;
                             }
                         }
-                        guard.push(handle);
+                        guard.push((handle, socket));
                     }
                 })
                 .expect("spawn accept thread")
@@ -195,7 +197,10 @@ impl WireServer {
     }
 
     /// Stop accepting, then join the accept loop and every connection
-    /// thread. Idempotent.
+    /// thread. A peer that stays connected without saying GOODBYE does not
+    /// hold this up: its socket is shut down, so its connection thread sees
+    /// end-of-stream and runs the disconnect teardown (queries cancelled,
+    /// subscriptions dropped, grants and pins returned). Idempotent.
     pub fn shutdown(&mut self) {
         if self.shared.shutdown.swap(true, Ordering::SeqCst) {
             return;
@@ -214,9 +219,12 @@ impl WireServer {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        let handles: Vec<_> = self.conns.lock().expect("conns lock").drain(..).collect();
-        for h in handles {
-            let _ = h.join();
+        let conns: Vec<Conn> = self.conns.lock().expect("conns lock").drain(..).collect();
+        for (_, socket) in &conns {
+            let _ = socket.shutdown(std::net::Shutdown::Both);
+        }
+        for (handle, _) in conns {
+            let _ = handle.join();
         }
     }
 }

@@ -8,7 +8,7 @@ use crate::session::{QueryOptions, QueryOutcome, Session};
 use crate::stats::ServiceStats;
 use crate::subs::{SubscribeOptions, Subscription, SubscriptionRegistry};
 use rqp_common::chaos::{install_quiet_panic_hook, ChaosPolicy};
-use rqp_common::{CancelToken, CostClock, Result, Row, RqpError};
+use rqp_common::{percentile, CancelToken, CostClock, Result, Row, RqpError};
 use rqp_exec::{ExecContext, MemoryGovernor};
 use rqp_opt::{plan, PlannerConfig, QuerySpec};
 use rqp_stats::{FeedbackEstimator, FeedbackRepo, StatsEstimator, TableStatsRegistry};
@@ -445,16 +445,20 @@ impl QueryService {
         self.subscribe_for(0, 1, spec, opts)
     }
 
-    /// Tear down subscription `id`: remove it from the registry, return
-    /// its broker grant, and cancel its token. Returns `false` if the id
-    /// is not a live subscription. After this returns the service holds
-    /// nothing for the subscription — no registry entry, no reservation,
-    /// no pins.
+    /// Tear down subscription `id`: cancel its token, return its broker
+    /// grant, and remove it from the registry — in that order, so that no
+    /// observer sees the subscription gone while its grant is still
+    /// reserved. Returns `false` if the id is not a live subscription.
+    /// After this returns the service holds nothing for the subscription —
+    /// no registry entry, no reservation, no pins.
     pub fn unsubscribe(&self, id: u64) -> bool {
         let inner = &self.inner;
-        let Some(sub) = inner.subs.remove(id) else { return false };
-        inner.broker.complete(id);
+        let Some(sub) = inner.subs.get(id) else { return false };
         sub.cancel.cancel();
+        inner.broker.complete(id);
+        if inner.subs.remove(id).is_none() {
+            return false; // a concurrent teardown of the same id won
+        }
         inner.metrics.counter("server.subs.unregistered").inc();
         inner.live.publish(
             id,
@@ -690,15 +694,6 @@ impl QueryService {
             .set(report.plan_cache_invalidations as f64);
         report
     }
-}
-
-/// Nearest-rank percentile over an ascending-sorted slice.
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 fn status_of(e: &RqpError) -> QueryStatus {

@@ -7,6 +7,8 @@
 //! of Nica et al.) as the estimation-robustness currency. E08 and E19 report
 //! q-error summaries.
 
+use rqp_common::percentile;
+
 /// The q-error of estimate `e` against actual `a`.
 ///
 /// Both values are floored at one row (the convention of the paper) so that
@@ -44,24 +46,10 @@ impl QErrorSummary {
         let count = qs.len();
         let max = *qs.last().expect("non-empty");
         let geo_mean = (qs.iter().map(|q| q.ln()).sum::<f64>() / count as f64).exp();
-        let median = nearest_rank(&qs, 0.50);
-        let p95 = nearest_rank(&qs, 0.95);
+        let median = percentile(&qs, 50.0);
+        let p95 = percentile(&qs, 95.0);
         QErrorSummary { count, max, geo_mean, median, p95 }
     }
-}
-
-/// Nearest-rank quantile over an ascending-sorted slice: the smallest value
-/// whose rank covers fraction `q` of the observations (`rank =
-/// max(ceil(q·n), 1)`). This is the convention the telemetry histogram's
-/// p50/p95/p99 use, so scoreboard columns computed from either source are
-/// comparable — and unlike `qs[n/2]` (the *upper* median) or truncating
-/// `(n·q) as usize` (which turns p95 into max for small n), it is exact at
-/// the boundaries: n=1 → the value, n=2 → the lower one at p50.
-fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
-    debug_assert!(!sorted.is_empty());
-    let n = sorted.len();
-    let rank = (q.clamp(0.0, 1.0) * n as f64).ceil().max(1.0) as usize;
-    sorted[rank.min(n) - 1]
 }
 
 impl std::fmt::Display for QErrorSummary {

@@ -537,7 +537,7 @@ mod tests {
     fn changelog_publishes_through_cow_clones() {
         use crate::changelog::{ChangeOp, Changelog};
 
-        let mut t = tbl();
+        let t = tbl();
         let log = Arc::new(Changelog::new());
         t.attach_changelog(&log);
         // A copy-on-write clone (what `Catalog::table_mut` produces when a

@@ -338,13 +338,10 @@ impl ViewCircuit {
                 agg.groups.retain(|_, (rows, _)| *rows > 0);
             }
         }
-        if self.agg.is_some() {
+        if let Some(agg) = &self.agg {
             let touched = std::mem::take(&mut acc.touched);
             for (key, old) in touched {
-                let new = {
-                    let agg = self.agg.as_ref().expect("agg mode");
-                    agg.output(&key).map(|r| self.project(r))
-                };
+                let new = agg.output(&key).map(|r| self.project(r));
                 if old == new {
                     continue;
                 }

@@ -2,44 +2,32 @@
 //! experiment's robustness numbers.
 //!
 //! A [`Scoreboard`] folds a directory of [`RunReport`]s into one entry per
-//! experiment, computing the seminar's paper metrics (`rqp-metrics`) from
-//! the raw observations the reports carry:
+//! experiment. Its metrics are the seminar's paper metrics (`rqp-metrics`),
+//! computed from the spans and the reserved `paper.*` gauges the reports
+//! carry (see [`Source`]), plus adaptive-decision event counts.
 //!
-//! * **M1** and **C(Q)** from the spans' estimated-vs-actual cardinalities;
-//! * **M3** from the reserved `paper.m3.opt` / `paper.m3.best` gauges;
-//! * **smoothness S(Q)** from the `paper.perf_gap.*` gauge family (one
-//!   gauge per query in a parameterized sweep);
-//! * **intrinsic/extrinsic variability** from the `paper.env.*.chosen` /
-//!   `paper.env.*.ideal` gauge families (one pair per environment);
-//! * adaptive-decision **event counts** and spill volume from the spans.
+//! [`GATES`] is the whole gate policy: one row per metric, naming its JSON
+//! key, its source and its limit. Folding, serialization and
+//! [`Scoreboard::diff`] — the CI regression gate — are loops over it.
 //!
-//! Folding is exactly order-independent: every sample pool is sorted before
-//! reduction, so any permutation of the same reports produces a
-//! byte-identical scoreboard. [`Scoreboard::diff`] compares two scoreboards
-//! under per-metric thresholds — the CI regression gate.
+//! Folding is exactly order-independent: every sample pool is sorted (or
+//! reduced by a total order) first, so any permutation of the same reports
+//! produces a byte-identical scoreboard.
 
 use crate::json::Json;
+use crate::metrics::MetricValue;
 use crate::report::RunReport;
 use rqp_metrics::{cardinality_error_geomean, metric1, metric3, smoothness, VariabilityReport};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-/// Version stamped into `scoreboard.json`; bump on breaking changes.
-/// Version 2 added the parallel-execution metrics (`parallel_speedup`,
-/// `parallel_skew`). Version 3 added the chaos metrics
-/// (`degradation_cliff`, `recovery_rate`). Version 4 added the concurrent-
-/// service metrics (`tail_amplification`, `admission_wait`). Version 5
-/// added the wire-service metrics (`wire_tail_p99`, `wire_tail_p999`,
-/// `wire_churn_recovery`, `wire_backpressure_pages`). Version 6 added the
-/// live-observability metrics (`observer_overhead_p99`,
-/// `observer_event_loss`). Version 7 added the batch-execution metric
-/// (`batch_speedup`). Version 8 added the paged-storage metrics
-/// (`paged_cliff`, `paged_completion`). Version 9 added the streaming
-/// metrics (`stream_delta_p99`, `stream_view_divergence`).
+/// Version stamped into `scoreboard.json`; bump whenever a [`GATES`] row is
+/// added, removed or renamed. Version 9 has the rows listed there.
 pub const SCOREBOARD_VERSION: u32 = 9;
 
-/// Reserved metric names through which experiments publish the raw samples
-/// behind paper metrics the scoreboard cannot derive from spans alone.
+/// Reserved gauge names through which experiments publish the raw samples
+/// behind the paper metrics the scoreboard derives. Every other gauge the
+/// scoreboard reads is named in its [`GATES`] row.
 pub mod samples {
     /// Gauge: `RunTimeOpt` for Metric3.
     pub const M3_OPT: &str = "paper.m3.opt";
@@ -55,150 +43,148 @@ pub mod samples {
     pub const ENV_CHOSEN: &str = ".chosen";
     /// Suffix of the ideal-plan cost gauge in an environment pair.
     pub const ENV_IDEAL: &str = ".ideal";
-    /// Gauge: headline parallel speedup (total work / critical path at the
-    /// experiment's reference worker count, zero skew). Folded as the
-    /// *minimum* across runs — the worst scaling observed.
-    pub const PARALLEL_SPEEDUP: &str = "paper.parallel.speedup";
-    /// Gauge: worst partition-imbalance factor (critical path relative to a
-    /// perfectly balanced split). Folded as the *maximum* across runs.
-    pub const PARALLEL_SKEW: &str = "paper.parallel.skew";
-    /// Gauge: worst cost ratio between adjacent memory fractions of a chaos
-    /// sweep — the steepest degradation "cliff". Folded as the *maximum*
-    /// across runs; a robust system degrades smoothly (stays near 1).
-    pub const DEGRADATION_CLIFF: &str = "paper.chaos.degradation_cliff";
-    /// Gauge: fraction of chaos-injected queries that completed (after
-    /// retries and renegotiation). Folded as the *minimum* across runs —
-    /// the worst recovery observed.
-    pub const RECOVERY_RATE: &str = "paper.chaos.recovery_rate";
-    /// Gauge: worst p99-latency amplification of concurrent execution over
-    /// solo execution across a service sweep (`p99 / solo p99`). Folded as
-    /// the *maximum* across runs — a managed service keeps the tail bounded.
-    pub const TAIL_AMPLIFICATION: &str = "paper.service.tail_amplification";
-    /// Gauge: worst p99 admission-queue wait (cost units) across a service
-    /// sweep. Folded as the *maximum* across runs.
-    pub const ADMISSION_WAIT: &str = "paper.service.admission_wait";
-    /// Gauge: worst p99 end-to-end latency amplification over solo execution
-    /// across the wire-service sweep. Folded as the *maximum* across runs.
-    pub const WIRE_TAIL_P99: &str = "paper.wire.tail_p99";
-    /// Gauge: worst p99.9 end-to-end latency amplification over solo
-    /// execution across the wire-service sweep. Folded as the *maximum*.
-    pub const WIRE_TAIL_P999: &str = "paper.wire.tail_p999";
-    /// Gauge: fraction of mid-query client disconnects whose queries were
-    /// fully reaped (slot surrendered, grants returned). Folded as the
-    /// *minimum* across runs — the worst churn recovery observed.
-    pub const WIRE_CHURN_RECOVERY: &str = "paper.wire.churn_recovery";
-    /// Gauge: peak encoded-but-unsent result pages held for any single query
-    /// under a stalled consumer. Folded as the *maximum* across runs —
-    /// credit-based paging keeps this at 1.
-    pub const WIRE_BACKPRESSURE_PAGES: &str = "paper.wire.backpressure_pages";
-    /// Gauge: p99 wire-tail amplification with a live observer attached,
-    /// relative to the same workload unobserved (`observed p99 / bare
-    /// p99`). Folded as the *maximum* across runs — introspection frames
-    /// bypass admission and must not perturb the workload's tail.
-    pub const OBSERVER_OVERHEAD_P99: &str = "paper.observer.overhead_p99";
-    /// Gauge: flight-recorder events the observer requested but lost to
-    /// ring overwrite (summed `gap`). Folded as the *maximum* across runs
-    /// — a correctly provisioned recorder loses nothing.
-    pub const OBSERVER_EVENT_LOSS: &str = "paper.observer.event_loss";
-    /// Gauge: worst wall-clock speedup of the batch execution path over its
-    /// row-at-a-time twin on the `a09` microbench sweep (batch plans are
-    /// charge-identical, so only elapsed time can show the win). Folded as
-    /// the *minimum* across runs — the weakest vectorization observed.
-    pub const BATCH_SPEEDUP: &str = "paper.batch.speedup";
-    /// Gauge: worst mean-cost ratio between adjacent page-budget fractions
-    /// of the paged-degradation sweep (`a10`) — the steepest cliff the
-    /// buffer pool shows when data stops fitting in memory. Folded as the
-    /// *maximum* across runs; bounded refaulting keeps this small.
-    pub const PAGED_CLIFF: &str = "paper.paged.degradation_cliff";
-    /// Gauge: fraction of queries that completed across the paged sweep's
-    /// constrained-budget × fault-rate cells (budget exhaustion and
-    /// retry-exhausted page I/O both count as losses). Folded as the
-    /// *minimum* across runs — graceful degradation means losing none.
-    pub const PAGED_COMPLETION: &str = "paper.paged.completion_rate";
-    /// Gauge: worst p99 per-delta maintenance cost (cost units charged per
-    /// applied delta packet) across the continuous-query sweep (`a11`).
-    /// Folded as the *maximum* across runs — incremental maintenance keeps
-    /// delta latency bounded as subscriptions and churn scale.
-    pub const STREAM_DELTA_P99: &str = "paper.stream.delta_p99";
-    /// Gauge: maintained views that diverged from a from-scratch
-    /// re-execution anywhere in the continuous-query sweep. Folded as the
-    /// *maximum* across runs — the view-consistency contract allows
-    /// exactly zero.
-    pub const STREAM_VIEW_DIVERGENCE: &str = "paper.stream.view_divergence";
 }
 
-/// One experiment's folded robustness numbers. Metrics whose samples the
-/// experiment did not publish are NaN (serialized as `null`).
+/// Where a scoreboard metric's value comes from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Source {
+    /// A reserved `paper.*` gauge, folded as the worst value across runs:
+    /// the minimum under a [`Limit::Floor`], the maximum otherwise.
+    Gauge(&'static str),
+    /// Nica et al. Metric1: Σ |est − act| / act over estimated spans.
+    M1,
+    /// Nica et al. Metric3, averaged over runs, from the `paper.m3.*` gauges.
+    M3,
+    /// Sattler et al. smoothness S(Q), from the `paper.perf_gap.*` gauges.
+    Smoothness,
+    /// Intrinsic variability, from the `paper.env.*` gauge pairs.
+    Intrinsic,
+    /// Extrinsic variability, from the `paper.env.*` gauge pairs.
+    Extrinsic,
+    /// Worst per-span q-error.
+    MaxQError,
+    /// Sattler et al. C(Q): geometric mean of relative cardinality errors.
+    CardErrorGeomean,
+    /// Cost-clock totals summed across runs.
+    TotalCost,
+    /// Spilled rows summed across all spans.
+    SpilledRows,
+}
+
+/// How [`Scoreboard::diff`] bounds a metric relative to its baseline.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Limit {
+    /// The metric regresses upward: it may not exceed `base·ratio + slack`.
+    Ceiling {
+        /// Multiplicative growth allowed.
+        ratio: f64,
+        /// Absolute growth allowed on top (for baselines near zero).
+        slack: f64,
+    },
+    /// The metric regresses downward: it may not fall below `base − slack`.
+    Floor {
+        /// Absolute shrinkage allowed.
+        slack: f64,
+    },
+}
+
+impl Limit {
+    /// The bound a current value is held to, given the baseline value.
+    fn bound(self, base: f64) -> f64 {
+        match self {
+            Limit::Ceiling { ratio, slack } => base * ratio + slack,
+            Limit::Floor { slack } => base - slack,
+        }
+    }
+}
+
+/// One scoreboard metric: its JSON key, where its value comes from, and
+/// the limit the regression gate holds it to.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Gate {
+    /// Key in `scoreboard.json` and in [`ScoreboardEntry::metrics`].
+    pub key: &'static str,
+    /// Where the folded value comes from.
+    pub source: Source,
+    /// The gate; `None` for metrics the scoreboard reports but never gates.
+    pub limit: Option<Limit>,
+}
+
+const fn ceiling(key: &'static str, source: Source, ratio: f64, slack: f64) -> Gate {
+    Gate { key, source, limit: Some(Limit::Ceiling { ratio, slack }) }
+}
+
+const fn floor(key: &'static str, source: Source, slack: f64) -> Gate {
+    Gate { key, source, limit: Some(Limit::Floor { slack }) }
+}
+
+const fn ungated(key: &'static str, source: Source) -> Gate {
+    Gate { key, source, limit: None }
+}
+
+/// The gate policy: every scoreboard metric in `scoreboard.json` key order.
+/// Adding a gate is adding one row here (plus a [`SCOREBOARD_VERSION`]
+/// bump) and publishing its gauge from the experiment.
+pub const GATES: &[Gate] = &[
+    ceiling("m1", Source::M1, 1.25, 0.5),
+    ceiling("m3", Source::M3, 1.0, 0.25),
+    ceiling("smoothness", Source::Smoothness, 1.0, 0.25),
+    ungated("intrinsic", Source::Intrinsic),
+    ceiling("extrinsic", Source::Extrinsic, 1.0, 0.25),
+    ceiling("max_q_error", Source::MaxQError, 1.5, 0.0),
+    ungated("card_error_geomean", Source::CardErrorGeomean),
+    ceiling("total_cost", Source::TotalCost, 1.10, 0.0),
+    ungated("spilled_rows", Source::SpilledRows),
+    // a04: total work / critical path; critical path / a balanced split.
+    floor("parallel_speedup", Source::Gauge("paper.parallel.speedup"), 0.25),
+    ceiling("parallel_skew", Source::Gauge("paper.parallel.skew"), 1.0, 0.5),
+    // a05: steepest cost ratio between adjacent memory fractions; share of
+    // chaos-injected queries that completed.
+    ceiling("degradation_cliff", Source::Gauge("paper.chaos.degradation_cliff"), 1.0, 0.25),
+    floor("recovery_rate", Source::Gauge("paper.chaos.recovery_rate"), 0.02),
+    // a06: p99 over solo p99; p99 admission wait in cost units.
+    ceiling("tail_amplification", Source::Gauge("paper.service.tail_amplification"), 1.0, 0.5),
+    ceiling("admission_wait", Source::Gauge("paper.service.admission_wait"), 1.5, 1.0),
+    // a07: p99 and p99.9 over solo; share of disconnected queries reaped;
+    // peak encoded-but-unsent pages of one stalled query.
+    ceiling("wire_tail_p99", Source::Gauge("paper.wire.tail_p99"), 1.25, 0.5),
+    ceiling("wire_tail_p999", Source::Gauge("paper.wire.tail_p999"), 1.25, 0.5),
+    floor("wire_churn_recovery", Source::Gauge("paper.wire.churn_recovery"), 0.02),
+    ceiling("wire_backpressure_pages", Source::Gauge("paper.wire.backpressure_pages"), 1.0, 0.5),
+    // a08: observed over unobserved p99; events lost to ring overwrite.
+    ceiling("observer_overhead_p99", Source::Gauge("paper.observer.overhead_p99"), 1.25, 0.5),
+    ceiling("observer_event_loss", Source::Gauge("paper.observer.event_loss"), 1.0, 0.5),
+    // a09: wall-clock batch over row-at-a-time speedup; wall clocks jitter
+    // more than charged costs.
+    floor("batch_speedup", Source::Gauge("paper.batch.speedup"), 0.5),
+    // a10: steepest cost ratio between adjacent page budgets; share of
+    // queries completed.
+    ceiling("paged_cliff", Source::Gauge("paper.paged.degradation_cliff"), 1.0, 0.25),
+    floor("paged_completion", Source::Gauge("paper.paged.completion_rate"), 0.02),
+    // a11: p99 per-delta maintenance cost; maintained views that diverged
+    // from a cold re-run. View consistency is a contract, not a budget:
+    // zero slack, so ANY diverged view is a regression.
+    ceiling("stream_delta_p99", Source::Gauge("paper.stream.delta_p99"), 1.25, 1.0),
+    ceiling("stream_view_divergence", Source::Gauge("paper.stream.view_divergence"), 1.0, 0.0),
+];
+
+/// One experiment's folded robustness numbers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScoreboardEntry {
     /// Number of run reports folded in.
     pub runs: u64,
-    /// Nica et al. Metric1: Σ |est − act| / act over estimated spans.
-    pub m1: f64,
-    /// Nica et al. Metric3, from the `paper.m3.*` gauges.
-    pub m3: f64,
-    /// Sattler et al. smoothness S(Q), from the `paper.perf_gap.*` gauges.
-    pub smoothness: f64,
-    /// Intrinsic variability, from the `paper.env.*` gauge pairs.
-    pub intrinsic: f64,
-    /// Extrinsic variability, from the `paper.env.*` gauge pairs.
-    pub extrinsic: f64,
-    /// Worst per-span q-error.
-    pub max_q_error: f64,
-    /// Sattler et al. C(Q): geometric mean of relative cardinality errors.
-    pub card_error_geomean: f64,
-    /// Summed cost-clock totals across runs.
-    pub total_cost: f64,
-    /// Summed spilled rows across all spans.
-    pub spilled_rows: f64,
-    /// Worst (minimum) parallel speedup, from `paper.parallel.speedup`.
-    pub parallel_speedup: f64,
-    /// Worst (maximum) partition imbalance, from `paper.parallel.skew`.
-    pub parallel_skew: f64,
-    /// Worst (maximum) degradation cliff, from `paper.chaos.degradation_cliff`.
-    pub degradation_cliff: f64,
-    /// Worst (minimum) chaos recovery rate, from `paper.chaos.recovery_rate`.
-    pub recovery_rate: f64,
-    /// Worst (maximum) tail-latency amplification, from
-    /// `paper.service.tail_amplification`.
-    pub tail_amplification: f64,
-    /// Worst (maximum) p99 admission wait, from `paper.service.admission_wait`.
-    pub admission_wait: f64,
-    /// Worst (maximum) wire p99 latency amplification, from
-    /// `paper.wire.tail_p99`.
-    pub wire_tail_p99: f64,
-    /// Worst (maximum) wire p99.9 latency amplification, from
-    /// `paper.wire.tail_p999`.
-    pub wire_tail_p999: f64,
-    /// Worst (minimum) churn recovery fraction, from
-    /// `paper.wire.churn_recovery`.
-    pub wire_churn_recovery: f64,
-    /// Worst (maximum) stalled-consumer page buffering, from
-    /// `paper.wire.backpressure_pages`.
-    pub wire_backpressure_pages: f64,
-    /// Worst (maximum) observed-over-bare wire-tail ratio, from
-    /// `paper.observer.overhead_p99`.
-    pub observer_overhead_p99: f64,
-    /// Worst (maximum) flight-recorder event loss seen by an observer,
-    /// from `paper.observer.event_loss`.
-    pub observer_event_loss: f64,
-    /// Worst (minimum) batch-over-scalar wall-clock speedup, from
-    /// `paper.batch.speedup`.
-    pub batch_speedup: f64,
-    /// Worst (maximum) paged-degradation cliff, from
-    /// `paper.paged.degradation_cliff`.
-    pub paged_cliff: f64,
-    /// Worst (minimum) paged-sweep completion rate, from
-    /// `paper.paged.completion_rate`.
-    pub paged_completion: f64,
-    /// Worst (maximum) p99 per-delta maintenance cost, from
-    /// `paper.stream.delta_p99`.
-    pub stream_delta_p99: f64,
-    /// Worst (maximum) count of diverged maintained views, from
-    /// `paper.stream.view_divergence`.
-    pub stream_view_divergence: f64,
+    /// Folded values keyed by [`Gate::key`]. Metrics whose samples the
+    /// experiment did not publish are NaN (serialized as `null`).
+    pub metrics: BTreeMap<String, f64>,
     /// Adaptive-decision events by kind, summed across all spans.
     pub events: BTreeMap<String, u64>,
+}
+
+impl ScoreboardEntry {
+    /// The folded value of metric `key`; NaN when absent.
+    pub fn metric(&self, key: &str) -> f64 {
+        self.metrics.get(key).copied().unwrap_or(f64::NAN)
+    }
 }
 
 /// Per-experiment sample pools, accumulated before any float reduction.
@@ -213,23 +199,8 @@ struct SamplePool {
     m3_pairs: Vec<(f64, f64)>,
     costs: Vec<f64>,
     spilled: Vec<f64>,
-    speedups: Vec<f64>,
-    skews: Vec<f64>,
-    cliffs: Vec<f64>,
-    recoveries: Vec<f64>,
-    amplifications: Vec<f64>,
-    admission_waits: Vec<f64>,
-    wire_p99s: Vec<f64>,
-    wire_p999s: Vec<f64>,
-    churn_recoveries: Vec<f64>,
-    backpressure_pages: Vec<f64>,
-    observer_overheads: Vec<f64>,
-    observer_losses: Vec<f64>,
-    batch_speedups: Vec<f64>,
-    paged_cliffs: Vec<f64>,
-    paged_completions: Vec<f64>,
-    stream_delta_p99s: Vec<f64>,
-    stream_divergences: Vec<f64>,
+    /// Every other gauge's samples, by gauge name.
+    gauges: BTreeMap<String, Vec<f64>>,
     events: BTreeMap<String, u64>,
 }
 
@@ -249,45 +220,11 @@ impl SamplePool {
         }
         let mut m3 = (f64::NAN, f64::NAN);
         for (name, value) in &report.metrics {
-            let crate::metrics::MetricValue::Gauge(x) = value else { continue };
+            let MetricValue::Gauge(x) = value else { continue };
             if name == samples::M3_OPT {
                 m3.0 = *x;
             } else if name == samples::M3_BEST {
                 m3.1 = *x;
-            } else if name == samples::PARALLEL_SPEEDUP {
-                self.speedups.push(*x);
-            } else if name == samples::PARALLEL_SKEW {
-                self.skews.push(*x);
-            } else if name == samples::DEGRADATION_CLIFF {
-                self.cliffs.push(*x);
-            } else if name == samples::RECOVERY_RATE {
-                self.recoveries.push(*x);
-            } else if name == samples::TAIL_AMPLIFICATION {
-                self.amplifications.push(*x);
-            } else if name == samples::ADMISSION_WAIT {
-                self.admission_waits.push(*x);
-            } else if name == samples::WIRE_TAIL_P99 {
-                self.wire_p99s.push(*x);
-            } else if name == samples::WIRE_TAIL_P999 {
-                self.wire_p999s.push(*x);
-            } else if name == samples::WIRE_CHURN_RECOVERY {
-                self.churn_recoveries.push(*x);
-            } else if name == samples::WIRE_BACKPRESSURE_PAGES {
-                self.backpressure_pages.push(*x);
-            } else if name == samples::OBSERVER_OVERHEAD_P99 {
-                self.observer_overheads.push(*x);
-            } else if name == samples::OBSERVER_EVENT_LOSS {
-                self.observer_losses.push(*x);
-            } else if name == samples::BATCH_SPEEDUP {
-                self.batch_speedups.push(*x);
-            } else if name == samples::PAGED_CLIFF {
-                self.paged_cliffs.push(*x);
-            } else if name == samples::PAGED_COMPLETION {
-                self.paged_completions.push(*x);
-            } else if name == samples::STREAM_DELTA_P99 {
-                self.stream_delta_p99s.push(*x);
-            } else if name == samples::STREAM_VIEW_DIVERGENCE {
-                self.stream_divergences.push(*x);
             } else if let Some(key) = name.strip_prefix(samples::PERF_GAP_PREFIX) {
                 self.perf_gaps.push((key.to_string(), *x));
             } else if let Some(rest) = name.strip_prefix(samples::ENV_PREFIX) {
@@ -296,6 +233,8 @@ impl SamplePool {
                 } else if let Some(key) = rest.strip_suffix(samples::ENV_IDEAL) {
                     self.env_ideal.push((key.to_string(), *x));
                 }
+            } else {
+                self.gauges.entry(name.clone()).or_default().push(*x);
             }
         }
         if !m3.0.is_nan() && !m3.1.is_nan() {
@@ -308,102 +247,73 @@ impl SamplePool {
     fn entry(mut self) -> ScoreboardEntry {
         let by_key =
             |a: &(String, f64), b: &(String, f64)| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1));
-        self.est_act
-            .sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
+        let by_pair =
+            |a: &(f64, f64), b: &(f64, f64)| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1));
+        self.est_act.sort_by(by_pair);
         self.q_errors.sort_by(f64::total_cmp);
         self.perf_gaps.sort_by(by_key);
         self.env_chosen.sort_by(by_key);
         self.env_ideal.sort_by(by_key);
-        self.m3_pairs
-            .sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
+        self.m3_pairs.sort_by(by_pair);
         self.costs.sort_by(f64::total_cmp);
         self.spilled.sort_by(f64::total_cmp);
-        self.speedups.sort_by(f64::total_cmp);
-        self.skews.sort_by(f64::total_cmp);
-        self.cliffs.sort_by(f64::total_cmp);
-        self.recoveries.sort_by(f64::total_cmp);
-        self.amplifications.sort_by(f64::total_cmp);
-        self.admission_waits.sort_by(f64::total_cmp);
-        self.wire_p99s.sort_by(f64::total_cmp);
-        self.wire_p999s.sort_by(f64::total_cmp);
-        self.churn_recoveries.sort_by(f64::total_cmp);
-        self.backpressure_pages.sort_by(f64::total_cmp);
-        self.observer_overheads.sort_by(f64::total_cmp);
-        self.observer_losses.sort_by(f64::total_cmp);
-        self.batch_speedups.sort_by(f64::total_cmp);
-        self.paged_cliffs.sort_by(f64::total_cmp);
-        self.paged_completions.sort_by(f64::total_cmp);
-        self.stream_delta_p99s.sort_by(f64::total_cmp);
-        self.stream_divergences.sort_by(f64::total_cmp);
+        let metrics = GATES.iter().map(|g| (g.key.to_string(), self.value(g))).collect();
+        ScoreboardEntry { runs: self.runs, metrics, events: self.events }
+    }
 
-        let m1 = if self.est_act.is_empty() { f64::NAN } else { metric1(&self.est_act) };
-        let card = if self.est_act.is_empty() {
-            f64::NAN
-        } else {
-            cardinality_error_geomean(&self.est_act)
-        };
-        let max_q = if self.q_errors.is_empty() {
-            f64::NAN
-        } else {
-            self.q_errors.iter().copied().fold(1.0, f64::max)
-        };
-        let m3 = if self.m3_pairs.is_empty() {
-            f64::NAN
-        } else {
+    /// One gate's folded value from the sorted pools.
+    fn value(&self, gate: &Gate) -> f64 {
+        match gate.source {
+            Source::Gauge(name) => {
+                let xs = self.gauges.get(name).into_iter().flatten().copied();
+                let worst = match gate.limit {
+                    Some(Limit::Floor { .. }) => xs.min_by(f64::total_cmp),
+                    _ => xs.max_by(f64::total_cmp),
+                };
+                worst.unwrap_or(f64::NAN)
+            }
+            Source::M1 => unless_empty(&self.est_act, metric1),
+            Source::CardErrorGeomean => unless_empty(&self.est_act, cardinality_error_geomean),
+            Source::MaxQError => {
+                unless_empty(&self.q_errors, |qs| qs.iter().copied().fold(1.0, f64::max))
+            }
             // Mean Metric3 across runs.
-            self.m3_pairs.iter().map(|&(o, b)| metric3(o, b)).sum::<f64>()
-                / self.m3_pairs.len() as f64
-        };
-        let smooth = if self.perf_gaps.is_empty() {
-            f64::NAN
-        } else {
-            smoothness(&self.perf_gaps.iter().map(|(_, g)| *g).collect::<Vec<_>>())
-        };
-        // Pair up environments by key; a chosen without an ideal (or vice
-        // versa) is dropped.
+            Source::M3 => unless_empty(&self.m3_pairs, |runs| {
+                runs.iter().map(|&(o, b)| metric3(o, b)).sum::<f64>() / runs.len() as f64
+            }),
+            Source::Smoothness => unless_empty(&self.perf_gaps, |gaps| {
+                smoothness(&gaps.iter().map(|(_, g)| *g).collect::<Vec<_>>())
+            }),
+            Source::Intrinsic => {
+                unless_empty(&self.env_pairs(), |p| VariabilityReport::from_costs(p).intrinsic())
+            }
+            Source::Extrinsic => {
+                unless_empty(&self.env_pairs(), |p| VariabilityReport::from_costs(p).extrinsic())
+            }
+            Source::TotalCost => self.costs.iter().sum(),
+            Source::SpilledRows => self.spilled.iter().sum(),
+        }
+    }
+
+    /// (chosen, ideal) cost pairs of environments paired up by key; a
+    /// chosen without an ideal (or vice versa) is dropped.
+    fn env_pairs(&self) -> Vec<(f64, f64)> {
         let ideals: BTreeMap<&str, f64> =
             self.env_ideal.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-        let env_pairs: Vec<(f64, f64)> = self
-            .env_chosen
+        self.env_chosen
             .iter()
             .filter_map(|(k, chosen)| ideals.get(k.as_str()).map(|ideal| (*chosen, *ideal)))
-            .collect();
-        let (intrinsic, extrinsic) = if env_pairs.is_empty() {
-            (f64::NAN, f64::NAN)
-        } else {
-            let v = VariabilityReport::from_costs(&env_pairs);
-            (v.intrinsic(), v.extrinsic())
-        };
-        ScoreboardEntry {
-            runs: self.runs,
-            m1,
-            m3,
-            smoothness: smooth,
-            intrinsic,
-            extrinsic,
-            max_q_error: max_q,
-            card_error_geomean: card,
-            total_cost: self.costs.iter().sum(),
-            spilled_rows: self.spilled.iter().sum(),
-            parallel_speedup: self.speedups.first().copied().unwrap_or(f64::NAN),
-            parallel_skew: self.skews.last().copied().unwrap_or(f64::NAN),
-            degradation_cliff: self.cliffs.last().copied().unwrap_or(f64::NAN),
-            recovery_rate: self.recoveries.first().copied().unwrap_or(f64::NAN),
-            tail_amplification: self.amplifications.last().copied().unwrap_or(f64::NAN),
-            admission_wait: self.admission_waits.last().copied().unwrap_or(f64::NAN),
-            wire_tail_p99: self.wire_p99s.last().copied().unwrap_or(f64::NAN),
-            wire_tail_p999: self.wire_p999s.last().copied().unwrap_or(f64::NAN),
-            wire_churn_recovery: self.churn_recoveries.first().copied().unwrap_or(f64::NAN),
-            wire_backpressure_pages: self.backpressure_pages.last().copied().unwrap_or(f64::NAN),
-            observer_overhead_p99: self.observer_overheads.last().copied().unwrap_or(f64::NAN),
-            observer_event_loss: self.observer_losses.last().copied().unwrap_or(f64::NAN),
-            batch_speedup: self.batch_speedups.first().copied().unwrap_or(f64::NAN),
-            paged_cliff: self.paged_cliffs.last().copied().unwrap_or(f64::NAN),
-            paged_completion: self.paged_completions.first().copied().unwrap_or(f64::NAN),
-            stream_delta_p99: self.stream_delta_p99s.last().copied().unwrap_or(f64::NAN),
-            stream_view_divergence: self.stream_divergences.last().copied().unwrap_or(f64::NAN),
-            events: self.events,
-        }
+            .collect()
+    }
+}
+
+/// `value(pool)`, or NaN for an empty pool: the experiment did not publish
+/// the samples.
+fn unless_empty<T>(pool: &[T], value: impl FnOnce(&[T]) -> f64) -> f64 {
+    if pool.is_empty() {
+        f64::NAN
+    } else {
+        value(pool)
     }
 }
 
@@ -497,9 +407,10 @@ impl Scoreboard {
         std::fs::write(path, self.to_json().pretty())
     }
 
-    /// Compare `current` against this baseline under `thresholds`. Returns
-    /// every regression found; empty means the gate passes.
-    pub fn diff(&self, current: &Scoreboard, thresholds: &DiffThresholds) -> Vec<Regression> {
+    /// Compare `current` against this baseline under [`GATES`]. Returns
+    /// every regression found, per experiment in `GATES` order; empty means
+    /// the gate passes. A metric the baseline lacks (NaN) is not gated.
+    pub fn diff(&self, current: &Scoreboard) -> Vec<Regression> {
         let mut out = Vec::new();
         for (name, base) in &self.entries {
             let Some(cur) = current.entries.get(name) else {
@@ -512,270 +423,46 @@ impl Scoreboard {
                 });
                 continue;
             };
-            let mut check = |metric: &str, baseline: f64, current_v: f64, limit: f64| {
+            for gate in GATES {
+                let Some(limit) = gate.limit else { continue };
+                let baseline = base.metric(gate.key);
                 if baseline.is_nan() {
-                    return;
+                    continue;
                 }
+                let bound = limit.bound(baseline);
+                let current = cur.metric(gate.key);
+                let broken = match limit {
+                    Limit::Ceiling { .. } => current > bound,
+                    Limit::Floor { .. } => current < bound,
+                };
                 // A metric that vanished is an observability regression.
-                if current_v.is_nan() || current_v > limit {
+                if broken || current.is_nan() {
                     out.push(Regression {
                         experiment: name.clone(),
-                        metric: metric.to_string(),
+                        metric: gate.key.to_string(),
                         baseline,
-                        current: current_v,
-                        limit,
+                        current,
+                        limit: bound,
                     });
                 }
-            };
-            check("total_cost", base.total_cost, cur.total_cost, base.total_cost * thresholds.cost_ratio);
-            check("m1", base.m1, cur.m1, base.m1 * thresholds.m1_ratio + thresholds.m1_slack);
-            check(
-                "max_q_error",
-                base.max_q_error,
-                cur.max_q_error,
-                base.max_q_error * thresholds.q_error_ratio,
-            );
-            check("smoothness", base.smoothness, cur.smoothness, base.smoothness + thresholds.smoothness_slack);
-            check("extrinsic", base.extrinsic, cur.extrinsic, base.extrinsic + thresholds.extrinsic_slack);
-            check("m3", base.m3, cur.m3, base.m3 + thresholds.m3_slack);
-            check(
-                "parallel_skew",
-                base.parallel_skew,
-                cur.parallel_skew,
-                base.parallel_skew + thresholds.parallel_skew_slack,
-            );
-            check(
-                "degradation_cliff",
-                base.degradation_cliff,
-                cur.degradation_cliff,
-                base.degradation_cliff + thresholds.degradation_cliff_slack,
-            );
-            check(
-                "tail_amplification",
-                base.tail_amplification,
-                cur.tail_amplification,
-                base.tail_amplification + thresholds.tail_amplification_slack,
-            );
-            check(
-                "admission_wait",
-                base.admission_wait,
-                cur.admission_wait,
-                base.admission_wait * thresholds.admission_wait_ratio
-                    + thresholds.admission_wait_slack,
-            );
-            check(
-                "wire_tail_p99",
-                base.wire_tail_p99,
-                cur.wire_tail_p99,
-                base.wire_tail_p99 * thresholds.wire_tail_ratio + thresholds.wire_tail_slack,
-            );
-            check(
-                "wire_tail_p999",
-                base.wire_tail_p999,
-                cur.wire_tail_p999,
-                base.wire_tail_p999 * thresholds.wire_tail_ratio + thresholds.wire_tail_slack,
-            );
-            check(
-                "wire_backpressure_pages",
-                base.wire_backpressure_pages,
-                cur.wire_backpressure_pages,
-                base.wire_backpressure_pages + thresholds.wire_backpressure_slack,
-            );
-            check(
-                "observer_overhead_p99",
-                base.observer_overhead_p99,
-                cur.observer_overhead_p99,
-                base.observer_overhead_p99 * thresholds.observer_overhead_ratio
-                    + thresholds.observer_overhead_slack,
-            );
-            check(
-                "observer_event_loss",
-                base.observer_event_loss,
-                cur.observer_event_loss,
-                base.observer_event_loss + thresholds.observer_event_loss_slack,
-            );
-            check(
-                "paged_cliff",
-                base.paged_cliff,
-                cur.paged_cliff,
-                base.paged_cliff + thresholds.paged_cliff_slack,
-            );
-            check(
-                "stream_delta_p99",
-                base.stream_delta_p99,
-                cur.stream_delta_p99,
-                base.stream_delta_p99 * thresholds.stream_delta_ratio
-                    + thresholds.stream_delta_slack,
-            );
-            // View consistency is a contract, not a budget: the divergence
-            // slack is exactly zero, so ANY diverged view is a regression.
-            check(
-                "stream_view_divergence",
-                base.stream_view_divergence,
-                cur.stream_view_divergence,
-                base.stream_view_divergence + thresholds.stream_divergence_slack,
-            );
-            // Floor metrics regress *downward*: flag a drop below the floor,
-            // and (like the ceiling checks) a metric that vanished entirely.
-            let mut check_floor = |metric: &str, baseline: f64, current_v: f64, floor: f64| {
-                if baseline.is_nan() {
-                    return;
-                }
-                if current_v.is_nan() || current_v < floor {
-                    out.push(Regression {
-                        experiment: name.clone(),
-                        metric: metric.to_string(),
-                        baseline,
-                        current: current_v,
-                        limit: floor,
-                    });
-                }
-            };
-            check_floor(
-                "parallel_speedup",
-                base.parallel_speedup,
-                cur.parallel_speedup,
-                base.parallel_speedup - thresholds.speedup_slack,
-            );
-            check_floor(
-                "recovery_rate",
-                base.recovery_rate,
-                cur.recovery_rate,
-                base.recovery_rate - thresholds.recovery_rate_slack,
-            );
-            check_floor(
-                "wire_churn_recovery",
-                base.wire_churn_recovery,
-                cur.wire_churn_recovery,
-                base.wire_churn_recovery - thresholds.wire_churn_recovery_slack,
-            );
-            check_floor(
-                "batch_speedup",
-                base.batch_speedup,
-                cur.batch_speedup,
-                base.batch_speedup - thresholds.batch_speedup_slack,
-            );
-            check_floor(
-                "paged_completion",
-                base.paged_completion,
-                cur.paged_completion,
-                base.paged_completion - thresholds.paged_completion_slack,
-            );
+            }
         }
         out
     }
 }
 
-/// Per-metric regression thresholds for [`Scoreboard::diff`].
-///
-/// Ratio thresholds bound multiplicative growth; slack thresholds bound
-/// absolute growth (for metrics whose baseline is legitimately near zero).
-#[derive(Debug, Clone)]
-pub struct DiffThresholds {
-    /// `total_cost` may grow by this factor.
-    pub cost_ratio: f64,
-    /// `m1` may grow by this factor…
-    pub m1_ratio: f64,
-    /// …plus this absolute slack.
-    pub m1_slack: f64,
-    /// `max_q_error` may grow by this factor.
-    pub q_error_ratio: f64,
-    /// `smoothness` may grow by this absolute amount.
-    pub smoothness_slack: f64,
-    /// `extrinsic` may grow by this absolute amount.
-    pub extrinsic_slack: f64,
-    /// `m3` may grow by this absolute amount.
-    pub m3_slack: f64,
-    /// `parallel_speedup` may *shrink* by this absolute amount.
-    pub speedup_slack: f64,
-    /// `parallel_skew` may grow by this absolute amount.
-    pub parallel_skew_slack: f64,
-    /// `degradation_cliff` may grow by this absolute amount.
-    pub degradation_cliff_slack: f64,
-    /// `recovery_rate` may *shrink* by this absolute amount.
-    pub recovery_rate_slack: f64,
-    /// `tail_amplification` may grow by this absolute amount.
-    pub tail_amplification_slack: f64,
-    /// `admission_wait` may grow by this factor…
-    pub admission_wait_ratio: f64,
-    /// …plus this absolute slack (baselines can legitimately be near zero).
-    pub admission_wait_slack: f64,
-    /// `wire_tail_p99` / `wire_tail_p999` may grow by this factor…
-    pub wire_tail_ratio: f64,
-    /// …plus this absolute slack.
-    pub wire_tail_slack: f64,
-    /// `wire_churn_recovery` may *shrink* by this absolute amount.
-    pub wire_churn_recovery_slack: f64,
-    /// `wire_backpressure_pages` may grow by this absolute amount.
-    pub wire_backpressure_slack: f64,
-    /// `observer_overhead_p99` may grow by this factor…
-    pub observer_overhead_ratio: f64,
-    /// …plus this absolute slack.
-    pub observer_overhead_slack: f64,
-    /// `observer_event_loss` may grow by this absolute amount.
-    pub observer_event_loss_slack: f64,
-    /// `batch_speedup` may *shrink* by this absolute amount (wall-clock
-    /// measurements jitter more than charged costs).
-    pub batch_speedup_slack: f64,
-    /// `paged_cliff` may grow by this absolute amount.
-    pub paged_cliff_slack: f64,
-    /// `paged_completion` may *shrink* by this absolute amount.
-    pub paged_completion_slack: f64,
-    /// `stream_delta_p99` may grow by this factor…
-    pub stream_delta_ratio: f64,
-    /// …plus this absolute slack.
-    pub stream_delta_slack: f64,
-    /// `stream_view_divergence` may grow by this absolute amount. Zero by
-    /// default: a single diverged maintained view is a correctness bug.
-    pub stream_divergence_slack: f64,
-}
-
-impl Default for DiffThresholds {
-    fn default() -> Self {
-        DiffThresholds {
-            cost_ratio: 1.10,
-            m1_ratio: 1.25,
-            m1_slack: 0.5,
-            q_error_ratio: 1.50,
-            smoothness_slack: 0.25,
-            extrinsic_slack: 0.25,
-            m3_slack: 0.25,
-            speedup_slack: 0.25,
-            parallel_skew_slack: 0.5,
-            degradation_cliff_slack: 0.25,
-            recovery_rate_slack: 0.02,
-            tail_amplification_slack: 0.5,
-            admission_wait_ratio: 1.5,
-            admission_wait_slack: 1.0,
-            wire_tail_ratio: 1.25,
-            wire_tail_slack: 0.5,
-            wire_churn_recovery_slack: 0.02,
-            wire_backpressure_slack: 0.5,
-            observer_overhead_ratio: 1.25,
-            observer_overhead_slack: 0.5,
-            observer_event_loss_slack: 0.5,
-            batch_speedup_slack: 0.5,
-            paged_cliff_slack: 0.25,
-            paged_completion_slack: 0.02,
-            stream_delta_ratio: 1.25,
-            stream_delta_slack: 1.0,
-            stream_divergence_slack: 0.0,
-        }
-    }
-}
-
-/// One metric of one experiment exceeding its threshold.
+/// One metric of one experiment exceeding its limit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Regression {
     /// Experiment the regression is in.
     pub experiment: String,
-    /// Metric that regressed (`"total_cost"`, `"m1"`, … or `"missing"`).
+    /// Metric that regressed (a [`Gate::key`] or `"missing"`).
     pub metric: String,
     /// Baseline value.
     pub baseline: f64,
     /// Current value.
     pub current: f64,
-    /// The limit the current value exceeded.
+    /// The limit the current value broke.
     pub limit: f64,
 }
 
@@ -790,44 +477,11 @@ impl std::fmt::Display for Regression {
 }
 
 fn entry_to_json(e: &ScoreboardEntry) -> Json {
-    Json::obj(vec![
-        ("runs", Json::num(e.runs as f64)),
-        ("m1", Json::num(e.m1)),
-        ("m3", Json::num(e.m3)),
-        ("smoothness", Json::num(e.smoothness)),
-        ("intrinsic", Json::num(e.intrinsic)),
-        ("extrinsic", Json::num(e.extrinsic)),
-        ("max_q_error", Json::num(e.max_q_error)),
-        ("card_error_geomean", Json::num(e.card_error_geomean)),
-        ("total_cost", Json::num(e.total_cost)),
-        ("spilled_rows", Json::num(e.spilled_rows)),
-        ("parallel_speedup", Json::num(e.parallel_speedup)),
-        ("parallel_skew", Json::num(e.parallel_skew)),
-        ("degradation_cliff", Json::num(e.degradation_cliff)),
-        ("recovery_rate", Json::num(e.recovery_rate)),
-        ("tail_amplification", Json::num(e.tail_amplification)),
-        ("admission_wait", Json::num(e.admission_wait)),
-        ("wire_tail_p99", Json::num(e.wire_tail_p99)),
-        ("wire_tail_p999", Json::num(e.wire_tail_p999)),
-        ("wire_churn_recovery", Json::num(e.wire_churn_recovery)),
-        ("wire_backpressure_pages", Json::num(e.wire_backpressure_pages)),
-        ("observer_overhead_p99", Json::num(e.observer_overhead_p99)),
-        ("observer_event_loss", Json::num(e.observer_event_loss)),
-        ("batch_speedup", Json::num(e.batch_speedup)),
-        ("paged_cliff", Json::num(e.paged_cliff)),
-        ("paged_completion", Json::num(e.paged_completion)),
-        ("stream_delta_p99", Json::num(e.stream_delta_p99)),
-        ("stream_view_divergence", Json::num(e.stream_view_divergence)),
-        (
-            "events",
-            Json::Obj(
-                e.events
-                    .iter()
-                    .map(|(kind, n)| (kind.clone(), Json::num(*n as f64)))
-                    .collect(),
-            ),
-        ),
-    ])
+    let mut pairs = vec![("runs", Json::num(e.runs as f64))];
+    pairs.extend(GATES.iter().map(|g| (g.key, Json::num(e.metric(g.key)))));
+    let events = e.events.iter().map(|(kind, n)| (kind.clone(), Json::num(*n as f64)));
+    pairs.push(("events", Json::Obj(events.collect())));
+    Json::obj(pairs)
 }
 
 fn entry_from_json(doc: &Json) -> Result<ScoreboardEntry, String> {
@@ -848,36 +502,12 @@ fn entry_from_json(doc: &Json) -> Result<ScoreboardEntry, String> {
             .collect::<Result<BTreeMap<_, _>, String>>()?,
         _ => return Err("entry missing events".to_string()),
     };
-    Ok(ScoreboardEntry {
-        runs: num("runs")? as u64,
-        m1: num("m1")?,
-        m3: num("m3")?,
-        smoothness: num("smoothness")?,
-        intrinsic: num("intrinsic")?,
-        extrinsic: num("extrinsic")?,
-        max_q_error: num("max_q_error")?,
-        card_error_geomean: num("card_error_geomean")?,
-        total_cost: num("total_cost")?,
-        spilled_rows: num("spilled_rows")?,
-        parallel_speedup: num("parallel_speedup")?,
-        parallel_skew: num("parallel_skew")?,
-        degradation_cliff: num("degradation_cliff")?,
-        recovery_rate: num("recovery_rate")?,
-        tail_amplification: num("tail_amplification")?,
-        admission_wait: num("admission_wait")?,
-        wire_tail_p99: num("wire_tail_p99")?,
-        wire_tail_p999: num("wire_tail_p999")?,
-        wire_churn_recovery: num("wire_churn_recovery")?,
-        wire_backpressure_pages: num("wire_backpressure_pages")?,
-        observer_overhead_p99: num("observer_overhead_p99")?,
-        observer_event_loss: num("observer_event_loss")?,
-        batch_speedup: num("batch_speedup")?,
-        paged_cliff: num("paged_cliff")?,
-        paged_completion: num("paged_completion")?,
-        stream_delta_p99: num("stream_delta_p99")?,
-        stream_view_divergence: num("stream_view_divergence")?,
-        events,
-    })
+    let runs = num("runs")? as u64;
+    let metrics = GATES
+        .iter()
+        .map(|g| Ok((g.key.to_string(), num(g.key)?)))
+        .collect::<Result<BTreeMap<_, _>, String>>()?;
+    Ok(ScoreboardEntry { runs, metrics, events })
 }
 
 #[cfg(test)]
@@ -886,6 +516,36 @@ mod tests {
     use crate::metrics::MetricsRegistry;
     use crate::span::Tracer;
     use rqp_common::CostClock;
+
+    /// Every gated metric of the `report("e01", 50.0, 100, 1000.0)` fixture:
+    /// its folded value, then its v9 limit written out by hand so that
+    /// loosening (or tightening) a `GATES` row fails a test. The fixture
+    /// publishes the gauge-sourced values as they stand here.
+    const V9: &[(&str, f64, f64)] = &[
+        ("m1", 0.5, 1.125),                                     // |50-100|/100; * 1.25 + 0.5
+        ("m3", 0.25, 0.5),                                      // |100-80|/80; + 0.25
+        ("smoothness", 1.0318757365151616, 1.2818757365151616), // gaps 5, 6, 50; + 0.25
+        ("extrinsic", 1.0, 1.25),                               // + 0.25
+        ("max_q_error", 2.0, 3.0),                              // * 1.5
+        ("total_cost", 15.0, 16.5),                             // * 1.10
+        ("parallel_speedup", 3.5, 3.25),                        // floor: - 0.25
+        ("parallel_skew", 1.2, 1.7),                            // + 0.5
+        ("degradation_cliff", 1.4, 1.65),                       // + 0.25
+        ("recovery_rate", 1.0, 0.98),                           // floor: - 0.02
+        ("tail_amplification", 2.0, 2.5),                       // + 0.5
+        ("admission_wait", 40.0, 61.0),                         // * 1.5 + 1.0
+        ("wire_tail_p99", 3.0, 4.25),                           // * 1.25 + 0.5
+        ("wire_tail_p999", 4.0, 5.5),                           // * 1.25 + 0.5
+        ("wire_churn_recovery", 1.0, 0.98),                     // floor: - 0.02
+        ("wire_backpressure_pages", 1.0, 1.5),                  // + 0.5
+        ("observer_overhead_p99", 1.0, 1.75),                   // * 1.25 + 0.5
+        ("observer_event_loss", 0.0, 0.5),                      // + 0.5
+        ("batch_speedup", 2.5, 2.0),                            // floor: - 0.5
+        ("paged_cliff", 1.3, 1.55),                             // + 0.25
+        ("paged_completion", 1.0, 0.98),                        // floor: - 0.02
+        ("stream_delta_p99", 4.0, 6.0),                         // * 1.25 + 1.0
+        ("stream_view_divergence", 0.0, 0.0),                   // zero slack
+    ];
 
     fn report(experiment: &str, est: f64, act: u64, cost_rows: f64) -> RunReport {
         let clock = CostClock::default_clock();
@@ -908,23 +568,11 @@ mod tests {
         reg.gauge("paper.env.000.ideal").set(10.0);
         reg.gauge("paper.env.001.chosen").set(20.0);
         reg.gauge("paper.env.001.ideal").set(20.0);
-        reg.gauge(samples::PARALLEL_SPEEDUP).set(3.5);
-        reg.gauge(samples::PARALLEL_SKEW).set(1.2);
-        reg.gauge(samples::DEGRADATION_CLIFF).set(1.4);
-        reg.gauge(samples::RECOVERY_RATE).set(1.0);
-        reg.gauge(samples::TAIL_AMPLIFICATION).set(2.0);
-        reg.gauge(samples::ADMISSION_WAIT).set(40.0);
-        reg.gauge(samples::WIRE_TAIL_P99).set(3.0);
-        reg.gauge(samples::WIRE_TAIL_P999).set(4.0);
-        reg.gauge(samples::WIRE_CHURN_RECOVERY).set(1.0);
-        reg.gauge(samples::WIRE_BACKPRESSURE_PAGES).set(1.0);
-        reg.gauge(samples::OBSERVER_OVERHEAD_P99).set(1.0);
-        reg.gauge(samples::OBSERVER_EVENT_LOSS).set(0.0);
-        reg.gauge(samples::BATCH_SPEEDUP).set(2.5);
-        reg.gauge(samples::PAGED_CLIFF).set(1.3);
-        reg.gauge(samples::PAGED_COMPLETION).set(1.0);
-        reg.gauge(samples::STREAM_DELTA_P99).set(4.0);
-        reg.gauge(samples::STREAM_VIEW_DIVERGENCE).set(0.0);
+        for gate in GATES {
+            if let Source::Gauge(name) = gate.source {
+                reg.gauge(name).set(V9.iter().find(|(k, ..)| *k == gate.key).unwrap().1);
+            }
+        }
         let mut r = RunReport::new(experiment).with_seed("workload", 7);
         r.cost = clock.breakdown();
         r.spans = tracer.snapshot();
@@ -932,244 +580,100 @@ mod tests {
         r
     }
 
+    /// For each of `keys`, against the fixture as baseline: one ulp past the
+    /// pinned v9 limit trips exactly that metric, with exactly that limit,
+    /// and so does NaN; the limit itself and a value one unit better than
+    /// the baseline pass.
+    fn assert_gates_hold_at_v9_limits(keys: &[&str]) {
+        let baseline = Scoreboard::fold(&[report("e01", 50.0, 100, 1000.0)]);
+        let diff_with = |key: &str, v: f64| {
+            let mut current = baseline.clone();
+            current.entries.get_mut("e01").unwrap().metrics.insert(key.to_string(), v);
+            baseline.diff(&current)
+        };
+        for &key in keys {
+            let &(_, base, limit) = V9.iter().find(|(k, ..)| *k == key).expect("pinned");
+            let gate = GATES.iter().find(|g| g.key == key).expect("gated");
+            let (past, better) = match gate.limit {
+                Some(Limit::Floor { .. }) => (limit.next_down(), base + 1.0),
+                _ => (limit.next_up(), base - 1.0),
+            };
+            for bad in [past, f64::NAN] {
+                let regs = diff_with(key, bad);
+                assert_eq!(regs.len(), 1, "{key} = {bad} must trip alone: {regs:?}");
+                assert_eq!((regs[0].metric.as_str(), regs[0].limit), (key, limit));
+            }
+            for good in [limit, better] {
+                assert_eq!(diff_with(key, good), vec![], "{key} = {good} must pass");
+            }
+        }
+    }
+
+    #[test]
+    fn every_gate_trips_just_past_its_v9_limit() {
+        let gated: Vec<&str> =
+            GATES.iter().filter(|g| g.limit.is_some()).map(|g| g.key).collect();
+        let pinned: Vec<&str> = V9.iter().map(|(k, ..)| *k).collect();
+        assert_eq!(gated, pinned, "every gate needs a pinned limit");
+        assert_eq!(gated.len(), 23);
+        assert_gates_hold_at_v9_limits(&gated);
+    }
+
+    /// Per-family slices of the same table, so that a failure names the
+    /// family.
+    macro_rules! family_tests {
+        ($($test:ident: $keys:expr;)+) => {$(
+            #[test]
+            fn $test() {
+                assert_gates_hold_at_v9_limits(&$keys);
+            }
+        )+};
+    }
+
+    family_tests! {
+        diff_trips_on_speedup_collapse_and_skew_growth: ["parallel_speedup", "parallel_skew"];
+        diff_trips_on_degradation_cliff_and_recovery_collapse:
+            ["degradation_cliff", "recovery_rate"];
+        diff_trips_on_tail_amplification_and_admission_wait_growth:
+            ["tail_amplification", "admission_wait"];
+        diff_trips_on_wire_tail_growth_churn_collapse_and_page_buildup:
+            ["wire_tail_p99", "wire_tail_p999", "wire_churn_recovery", "wire_backpressure_pages"];
+        diff_trips_on_observer_overhead_and_event_loss:
+            ["observer_overhead_p99", "observer_event_loss"];
+        diff_trips_on_batch_speedup_collapse: ["batch_speedup"];
+        diff_trips_on_paged_cliff_and_completion_collapse: ["paged_cliff", "paged_completion"];
+        diff_trips_on_stream_delta_growth_and_any_view_divergence:
+            ["stream_delta_p99", "stream_view_divergence"];
+    }
+
     #[test]
     fn fold_computes_paper_metrics() {
         let board = Scoreboard::fold(&[report("e01", 50.0, 100, 1000.0)]);
         let e = &board.entries["e01"];
         assert_eq!(e.runs, 1);
-        assert!((e.m1 - 0.5).abs() < 1e-9, "|50-100|/100");
-        assert!((e.m3 - 0.25).abs() < 1e-9, "|100-80|/80");
-        assert!(e.smoothness > 0.5, "gap cliff at 50");
-        assert!(e.intrinsic > 0.0);
-        assert!(e.extrinsic > 0.0, "env 000 diverges 3x");
-        assert_eq!(e.max_q_error, 2.0);
+        for &(key, value, _) in V9 {
+            assert_eq!(e.metric(key), value, "{key}");
+        }
+        assert!(e.metric("intrinsic") > 0.0);
         assert_eq!(e.events["pop.violation"], 1);
-        assert!(e.total_cost > 0.0);
-        assert_eq!(e.parallel_speedup, 3.5);
-        assert_eq!(e.parallel_skew, 1.2);
-        assert_eq!(e.degradation_cliff, 1.4);
-        assert_eq!(e.recovery_rate, 1.0);
-        assert_eq!(e.tail_amplification, 2.0);
-        assert_eq!(e.admission_wait, 40.0);
-        assert_eq!(e.wire_tail_p99, 3.0);
-        assert_eq!(e.wire_tail_p999, 4.0);
-        assert_eq!(e.wire_churn_recovery, 1.0);
-        assert_eq!(e.wire_backpressure_pages, 1.0);
-        assert_eq!(e.observer_overhead_p99, 1.0);
-        assert_eq!(e.observer_event_loss, 0.0);
-        assert_eq!(e.batch_speedup, 2.5);
-        assert_eq!(e.paged_cliff, 1.3);
-        assert_eq!(e.paged_completion, 1.0);
-        assert_eq!(e.stream_delta_p99, 4.0);
-        assert_eq!(e.stream_view_divergence, 0.0);
+        assert!(e.metric("no_such_metric").is_nan());
     }
 
     #[test]
-    fn diff_trips_on_stream_delta_growth_and_any_view_divergence() {
-        let baseline = Scoreboard::fold(&[report("a11", 50.0, 100, 1000.0)]);
-        // Delta latency stretching past ratio + slack trips the ceiling
-        // check (baseline 4.0 * 1.25 + 1.0 = 6.0)…
-        let mut slow = baseline.clone();
-        slow.entries.get_mut("a11").unwrap().stream_delta_p99 = 6.5;
-        let regs = baseline.diff(&slow, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "stream_delta_p99"), "{regs:?}");
-        // …and view consistency is a contract with zero slack: a single
-        // diverged view is a regression.
-        let mut diverged = baseline.clone();
-        diverged.entries.get_mut("a11").unwrap().stream_view_divergence = 1.0;
-        let regs = baseline.diff(&diverged, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "stream_view_divergence"), "{regs:?}");
-        // Either gauge vanishing is an observability regression.
-        let mut gone = baseline.clone();
-        gone.entries.get_mut("a11").unwrap().stream_delta_p99 = f64::NAN;
-        let regs = baseline.diff(&gone, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "stream_delta_p99"), "{regs:?}");
-        // Faster deltas with the view still consistent are an improvement.
-        let mut better = baseline.clone();
-        better.entries.get_mut("a11").unwrap().stream_delta_p99 = 2.0;
-        assert!(baseline.diff(&better, &DiffThresholds::default()).is_empty());
-    }
-
-    #[test]
-    fn diff_trips_on_paged_cliff_and_completion_collapse() {
-        let baseline = Scoreboard::fold(&[report("a10", 50.0, 100, 1000.0)]);
-        // A paging cliff appearing between adjacent page-budget fractions
-        // trips the ceiling check (baseline 1.3 + slack 0.25 = 1.55)…
-        let mut cliffy = baseline.clone();
-        cliffy.entries.get_mut("a10").unwrap().paged_cliff = 1.6;
-        let regs = baseline.diff(&cliffy, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "paged_cliff"), "{regs:?}");
-        // …queries dying when the budget is constrained trips the
-        // completion floor (baseline 1.0 - slack 0.02)…
-        let mut dying = baseline.clone();
-        dying.entries.get_mut("a10").unwrap().paged_completion = 0.9;
-        let regs = baseline.diff(&dying, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "paged_completion"), "{regs:?}");
-        // …and either gauge vanishing is an observability regression.
-        let mut gone = baseline.clone();
-        gone.entries.get_mut("a10").unwrap().paged_completion = f64::NAN;
-        let regs = baseline.diff(&gone, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "paged_completion"), "{regs:?}");
-        // A flatter degradation curve is an improvement, not a regression.
-        let mut better = baseline.clone();
-        better.entries.get_mut("a10").unwrap().paged_cliff = 1.0;
-        assert!(baseline.diff(&better, &DiffThresholds::default()).is_empty());
-    }
-
-    #[test]
-    fn diff_trips_on_observer_overhead_and_event_loss() {
-        let baseline = Scoreboard::fold(&[report("a08", 50.0, 100, 1000.0)]);
-        // An observer that perturbs the workload's tail trips the overhead
-        // ceiling (baseline 1.0 * ratio 1.25 + slack 0.5 = 1.75)…
-        let mut heavy = baseline.clone();
-        heavy.entries.get_mut("a08").unwrap().observer_overhead_p99 = 2.0;
-        let regs = baseline.diff(&heavy, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "observer_overhead_p99"), "{regs:?}");
-        // …a recorder overwriting events before the observer drains them
-        // trips the loss ceiling (baseline 0 + slack 0.5)…
-        let mut lossy = baseline.clone();
-        lossy.entries.get_mut("a08").unwrap().observer_event_loss = 1.0;
-        let regs = baseline.diff(&lossy, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "observer_event_loss"), "{regs:?}");
-        // …and an observer gauge vanishing entirely trips as well.
-        let mut gone = baseline.clone();
-        gone.entries.get_mut("a08").unwrap().observer_overhead_p99 = f64::NAN;
-        let regs = baseline.diff(&gone, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "observer_overhead_p99"), "{regs:?}");
-        // A cheaper observer is an improvement, not a regression.
-        let mut better = baseline.clone();
-        better.entries.get_mut("a08").unwrap().observer_overhead_p99 = 0.9;
-        assert!(baseline.diff(&better, &DiffThresholds::default()).is_empty());
-    }
-
-    #[test]
-    fn diff_trips_on_wire_tail_growth_churn_collapse_and_page_buildup() {
-        let baseline = Scoreboard::fold(&[report("a07", 50.0, 100, 1000.0)]);
-        // Either tail percentile stretching past ratio + slack trips its
-        // ceiling check…
-        let mut stretched = baseline.clone();
-        stretched.entries.get_mut("a07").unwrap().wire_tail_p99 = 4.5;
-        let regs = baseline.diff(&stretched, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "wire_tail_p99"), "{regs:?}");
-        let mut stretched = baseline.clone();
-        stretched.entries.get_mut("a07").unwrap().wire_tail_p999 = 6.0;
-        let regs = baseline.diff(&stretched, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "wire_tail_p999"), "{regs:?}");
-        // …disconnected queries going unreaped trips the recovery floor…
-        let mut leaky = baseline.clone();
-        leaky.entries.get_mut("a07").unwrap().wire_churn_recovery = 0.9;
-        let regs = baseline.diff(&leaky, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "wire_churn_recovery"), "{regs:?}");
-        // …and a stalled consumer accumulating encoded pages trips the
-        // backpressure ceiling, as does any wire gauge vanishing.
-        let mut hoarding = baseline.clone();
-        hoarding.entries.get_mut("a07").unwrap().wire_backpressure_pages = 8.0;
-        let regs = baseline.diff(&hoarding, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "wire_backpressure_pages"), "{regs:?}");
-        let mut gone = baseline.clone();
-        gone.entries.get_mut("a07").unwrap().wire_churn_recovery = f64::NAN;
-        let regs = baseline.diff(&gone, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "wire_churn_recovery"), "{regs:?}");
-        // A tighter tail with full recovery is an improvement.
-        let mut better = baseline.clone();
-        better.entries.get_mut("a07").unwrap().wire_tail_p99 = 1.0;
-        better.entries.get_mut("a07").unwrap().wire_tail_p999 = 1.0;
-        assert!(baseline.diff(&better, &DiffThresholds::default()).is_empty());
-    }
-
-    #[test]
-    fn diff_trips_on_batch_speedup_collapse() {
-        let baseline = Scoreboard::fold(&[report("a09", 50.0, 100, 1000.0)]);
-        // Vectorization eroding past the floor (baseline 2.5 - slack 0.5 = 2.0)
-        // trips the check…
-        let mut eroded = baseline.clone();
-        eroded.entries.get_mut("a09").unwrap().batch_speedup = 1.4;
-        let regs = baseline.diff(&eroded, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "batch_speedup"), "{regs:?}");
-        // …as does the gauge vanishing entirely.
-        let mut gone = baseline.clone();
-        gone.entries.get_mut("a09").unwrap().batch_speedup = f64::NAN;
-        let regs = baseline.diff(&gone, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "batch_speedup"), "{regs:?}");
-        // A faster batch path is an improvement, not a regression.
-        let mut better = baseline.clone();
-        better.entries.get_mut("a09").unwrap().batch_speedup = 4.0;
-        assert!(baseline.diff(&better, &DiffThresholds::default()).is_empty());
-    }
-
-    #[test]
-    fn diff_trips_on_tail_amplification_and_admission_wait_growth() {
-        let baseline = Scoreboard::fold(&[report("a06", 50.0, 100, 1000.0)]);
-        // The tail stretching past its slack trips the ceiling check…
-        let mut stretched = baseline.clone();
-        stretched.entries.get_mut("a06").unwrap().tail_amplification = 2.6;
-        let regs = baseline.diff(&stretched, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "tail_amplification"), "{regs:?}");
-        // …as does the admission queue backing up past ratio + slack.
-        let mut queued = baseline.clone();
-        queued.entries.get_mut("a06").unwrap().admission_wait = 62.0;
-        let regs = baseline.diff(&queued, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "admission_wait"), "{regs:?}");
-        // Either gauge vanishing is an observability regression.
-        let mut gone = baseline.clone();
-        gone.entries.get_mut("a06").unwrap().tail_amplification = f64::NAN;
-        let regs = baseline.diff(&gone, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "tail_amplification"), "{regs:?}");
-        // A tighter tail and shorter queue are improvements.
-        let mut better = baseline.clone();
-        better.entries.get_mut("a06").unwrap().tail_amplification = 1.0;
-        better.entries.get_mut("a06").unwrap().admission_wait = 0.0;
-        assert!(baseline.diff(&better, &DiffThresholds::default()).is_empty());
-    }
-
-    #[test]
-    fn diff_trips_on_degradation_cliff_and_recovery_collapse() {
-        let baseline = Scoreboard::fold(&[report("a05", 50.0, 100, 1000.0)]);
-        // A cost cliff appearing between adjacent memory fractions trips
-        // the ceiling check…
-        let mut cliffy = baseline.clone();
-        cliffy.entries.get_mut("a05").unwrap().degradation_cliff = 2.5;
-        let regs = baseline.diff(&cliffy, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "degradation_cliff"), "{regs:?}");
-        // …and queries starting to die under injected faults trips the
-        // recovery floor, as does the gauge vanishing entirely.
-        let mut dying = baseline.clone();
-        dying.entries.get_mut("a05").unwrap().recovery_rate = 0.8;
-        let regs = baseline.diff(&dying, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "recovery_rate"), "{regs:?}");
-        let mut gone = baseline.clone();
-        gone.entries.get_mut("a05").unwrap().recovery_rate = f64::NAN;
-        let regs = baseline.diff(&gone, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "recovery_rate"), "{regs:?}");
-        // Smoother degradation and full recovery are improvements.
-        let mut better = baseline.clone();
-        better.entries.get_mut("a05").unwrap().degradation_cliff = 1.0;
-        assert!(baseline.diff(&better, &DiffThresholds::default()).is_empty());
-    }
-
-    #[test]
-    fn diff_trips_on_speedup_collapse_and_skew_growth() {
-        let baseline = Scoreboard::fold(&[report("a04", 50.0, 100, 1000.0)]);
-        // A collapse to near-serial scaling must trip the floor check…
-        let mut collapsed = baseline.clone();
-        collapsed.entries.get_mut("a04").unwrap().parallel_speedup = 1.1;
-        let regs = baseline.diff(&collapsed, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "parallel_speedup"), "{regs:?}");
-        // …as must the metric vanishing entirely.
-        let mut gone = baseline.clone();
-        gone.entries.get_mut("a04").unwrap().parallel_speedup = f64::NAN;
-        let regs = baseline.diff(&gone, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "parallel_speedup"), "{regs:?}");
-        // Skew growing past its slack trips the ceiling check.
-        let mut skewed = baseline.clone();
-        skewed.entries.get_mut("a04").unwrap().parallel_skew = 2.5;
-        let regs = baseline.diff(&skewed, &DiffThresholds::default());
-        assert!(regs.iter().any(|r| r.metric == "parallel_skew"), "{regs:?}");
-        // A faster, better-balanced board is an improvement, not a regression.
-        let mut better = baseline.clone();
-        better.entries.get_mut("a04").unwrap().parallel_speedup = 7.9;
-        better.entries.get_mut("a04").unwrap().parallel_skew = 1.0;
-        assert!(baseline.diff(&better, &DiffThresholds::default()).is_empty());
+    fn gauges_fold_to_the_worst_run_in_the_gate_direction() {
+        // A second run with a lower speedup (floor: worse) and a lower skew
+        // (ceiling: better) folds to its speedup and the first run's skew.
+        let mut second = report("a04", 50.0, 100, 1000.0);
+        for (name, value) in &mut second.metrics {
+            match (name.as_str(), value) {
+                ("paper.parallel.speedup", MetricValue::Gauge(x)) => *x = 1.5,
+                ("paper.parallel.skew", MetricValue::Gauge(x)) => *x = 1.0,
+                _ => {}
+            }
+        }
+        let board = Scoreboard::fold(&[report("a04", 50.0, 100, 1000.0), second]);
+        let e = &board.entries["a04"];
+        assert_eq!((e.metric("parallel_speedup"), e.metric("parallel_skew")), (1.5, 1.2));
     }
 
     #[test]
@@ -1202,17 +706,17 @@ mod tests {
         let mut bare = RunReport::new("e09");
         bare.spans = Vec::new();
         let board = Scoreboard::fold(&[bare]);
-        assert!(board.entries["e09"].m1.is_nan());
+        assert!(board.entries["e09"].metric("m1").is_nan());
         let text = board.to_json().pretty();
         let back = Scoreboard::from_json(&text).expect("parse");
-        assert!(back.entries["e09"].m1.is_nan());
+        assert!(back.entries["e09"].metric("m1").is_nan());
         assert_eq!(back.to_json().pretty(), text);
     }
 
     #[test]
     fn diff_passes_on_identical_boards() {
         let board = Scoreboard::fold(&[report("e01", 50.0, 100, 1000.0)]);
-        assert!(board.diff(&board, &DiffThresholds::default()).is_empty());
+        assert!(board.diff(&board).is_empty());
     }
 
     #[test]
@@ -1221,13 +725,13 @@ mod tests {
         // The regression fixture: same experiment, but the span's actual
         // cardinality came out 50x higher — the estimate is now badly wrong.
         let bad = Scoreboard::fold(&[report("e01", 50.0, 5000, 1000.0)]);
-        let regressions = baseline.diff(&bad, &DiffThresholds::default());
+        let regressions = baseline.diff(&bad);
         assert!(
             regressions.iter().any(|r| r.metric == "max_q_error"),
             "q-error blow-up must trip: {regressions:?}"
         );
         // And the reverse direction is fine (improvement, not regression).
-        assert!(bad.diff(&baseline, &DiffThresholds::default()).is_empty());
+        assert!(bad.diff(&baseline).is_empty());
     }
 
     #[test]
@@ -1237,7 +741,7 @@ mod tests {
             report("e02", 50.0, 100, 1000.0),
         ]);
         let current = Scoreboard::fold(&[report("e01", 50.0, 100, 2000.0)]);
-        let regressions = baseline.diff(&current, &DiffThresholds::default());
+        let regressions = baseline.diff(&current);
         assert!(regressions.iter().any(|r| r.experiment == "e02" && r.metric == "missing"));
         assert!(regressions.iter().any(|r| r.experiment == "e01" && r.metric == "total_cost"));
     }

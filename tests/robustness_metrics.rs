@@ -165,7 +165,7 @@ fn inflated_span_actuals_trip_the_scoreboard_diff_gate() {
     // report, inflate the observed actuals on its spans (a plant whose
     // estimates went stale), and the q-error threshold must fire.
     use rqp::common::CostClock;
-    use rqp::telemetry::{DiffThresholds, MetricsRegistry, RunReport, Scoreboard, Tracer};
+    use rqp::telemetry::{MetricsRegistry, RunReport, Scoreboard, Tracer};
 
     let make_report = |actual_rows: u64| -> RunReport {
         let clock = CostClock::default_clock();
@@ -187,14 +187,25 @@ fn inflated_span_actuals_trip_the_scoreboard_diff_gate() {
     let baseline = Scoreboard::fold(&[make_report(120)]);
     let healthy = Scoreboard::fold(&[make_report(120)]);
     assert!(
-        baseline.diff(&healthy, &DiffThresholds::default()).is_empty(),
+        baseline.diff(&healthy).is_empty(),
         "identical runs must pass the gate"
     );
 
     let inflated = Scoreboard::fold(&[make_report(50_000)]);
-    let regressions = baseline.diff(&inflated, &DiffThresholds::default());
+    let regressions = baseline.diff(&inflated);
     assert!(
         regressions.iter().any(|r| r.metric == "max_q_error"),
         "100x-inflated actuals must trip the q-error threshold, got {regressions:?}"
     );
+}
+
+#[test]
+fn committed_run_reports_fold_to_the_committed_scoreboard() {
+    // The regression gate's baseline is exactly the fold of the run reports
+    // committed beside it: same gates, same folding, byte for byte.
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../exp_output");
+    let board = rqp::telemetry::Scoreboard::from_dir(&dir).expect("fold exp_output");
+    let committed = std::fs::read_to_string(dir.join("scoreboard.json")).expect("baseline");
+    assert_eq!(board.to_json().pretty(), committed);
+    assert!(board.diff(&board).is_empty());
 }

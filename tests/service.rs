@@ -9,7 +9,7 @@
 
 use rqp::common::RqpError;
 use rqp::server::{QueryOptions, QueryService, ServiceConfig};
-use rqp::telemetry::scoreboard::{DiffThresholds, Scoreboard};
+use rqp::telemetry::scoreboard::Scoreboard;
 use rqp::workload::{tpch::TpchParams, Job, TpchDb, WorkloadManager};
 
 fn small_db() -> TpchDb {
@@ -163,24 +163,25 @@ fn a06_runs_and_scoreboard_v4_gates_the_service_metrics() {
 
     let board = Scoreboard::from_dir(&dir).expect("fold the a06 run report");
     let entry = board.entries.get("a06_concurrent_service").expect("a06 entry");
-    assert!(entry.tail_amplification.is_finite() && entry.tail_amplification >= 1.0);
-    assert!(entry.admission_wait.is_finite() && entry.admission_wait >= 0.0);
+    let (amp, wait) = (entry.metric("tail_amplification"), entry.metric("admission_wait"));
+    assert!(amp.is_finite() && amp >= 1.0);
+    assert!(wait.is_finite() && wait >= 0.0);
 
     // The diff gate must trip when either service metric degrades past its
     // threshold relative to this run as baseline.
     let mut worse = board.clone();
     {
-        let e = worse.entries.get_mut("a06_concurrent_service").unwrap();
-        e.tail_amplification += 1.0;
-        e.admission_wait = e.admission_wait * 2.0 + 5.0;
+        let e = &mut worse.entries.get_mut("a06_concurrent_service").unwrap().metrics;
+        e.insert("tail_amplification".into(), amp + 1.0);
+        e.insert("admission_wait".into(), wait * 2.0 + 5.0);
     }
-    let regressions = board.diff(&worse, &DiffThresholds::default());
+    let regressions = board.diff(&worse);
     let metrics: Vec<&str> = regressions.iter().map(|r| r.metric.as_str()).collect();
     assert!(metrics.contains(&"tail_amplification"), "tail amplification gate missing");
     assert!(metrics.contains(&"admission_wait"), "admission wait gate missing");
 
     // And the clean self-diff must pass.
-    assert!(board.diff(&board, &DiffThresholds::default()).is_empty());
+    assert!(board.diff(&board).is_empty());
 
     let _ = std::fs::remove_dir_all(&dir);
 }
